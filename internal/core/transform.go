@@ -150,7 +150,7 @@ func (fx *Fixer) applyInterproc(p *plan) error {
 		if err != nil {
 			return err
 		}
-		callIn.Callee = clone
+		callIn.SetCallee(clone)
 		fx.audit("retarget-call", clone.Name, callIn)
 		fx.insertFenceAfter(callIn)
 		fx.transSites[callIn] = clone
@@ -277,7 +277,7 @@ func (fx *Fixer) persistentClone(fn *ir.Func) (*ir.Func, error) {
 			if err != nil {
 				return nil, err
 			}
-			in.Callee = gClone
+			in.SetCallee(gClone)
 			fx.audit("retarget-call", gClone.Name, in)
 		}
 	}

@@ -7,6 +7,7 @@
 package interp
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"time"
@@ -160,11 +161,12 @@ type Machine struct {
 	cost     *pmem.CostModel
 	builtins map[string]Builtin
 
-	globalAddr map[string]uint64
-	heapNext   uint64
-	pmNext     uint64
-	rootAddr   uint64
-	rootSize   uint64
+	// gaddr holds each global's address, indexed like Mod.Globals.
+	gaddr    []uint64
+	heapNext uint64
+	pmNext   uint64
+	rootAddr uint64
+	rootSize uint64
 
 	frames    []*frame
 	framePool []*frame
@@ -205,10 +207,15 @@ type Machine struct {
 }
 
 type frame struct {
-	fn *ir.Func
+	code *funcCode
 	// regs is the dense register file: parameters first, then
-	// result-producing instructions, indexed by ir's Renumber slots.
+	// result-producing instructions, indexed by ir's Renumber slots,
+	// then the function's constants.
 	regs []uint64
+	// args is the scratch vector that builtins called from this frame
+	// receive their argument values in; it lives as long as the pooled
+	// frame, so builtin calls allocate nothing.
+	args []uint64
 	cur  *ir.Instr // instruction being executed (for stack traces)
 
 	// Stack allocation bookkeeping: allocas carve from
@@ -219,9 +226,10 @@ type frame struct {
 
 func (f *frame) stackLow() uint64 { return f.stackTop - f.stackUsed }
 
-// getFrame recycles call frames: register slots need no clearing because
-// well-formed IR defines every value before its first use.
-func (m *Machine) getFrame(fn *ir.Func) *frame {
+// getFrame recycles call frames: value slots need no clearing because
+// well-formed IR defines every value before its first use, and the
+// constants only need loading when the frame last ran different code.
+func (m *Machine) getFrame(code *funcCode) *frame {
 	var f *frame
 	if n := len(m.framePool); n > 0 {
 		f = m.framePool[n-1]
@@ -229,15 +237,20 @@ func (m *Machine) getFrame(fn *ir.Func) *frame {
 	} else {
 		f = &frame{}
 	}
-	f.fn = fn
 	f.cur = nil
 	f.stackTop = 0
 	f.stackUsed = 0
-	if cap(f.regs) >= fn.NumSlots() {
-		f.regs = f.regs[:fn.NumSlots()]
+	n := code.numSlots + len(code.consts)
+	if cap(f.regs) >= n {
+		f.regs = f.regs[:n]
+		if f.code != code {
+			copy(f.regs[code.numSlots:], code.consts)
+		}
 	} else {
-		f.regs = make([]uint64, fn.NumSlots())
+		f.regs = make([]uint64, n)
+		copy(f.regs[code.numSlots:], code.consts)
 	}
+	f.code = code
 	return f
 }
 
@@ -263,7 +276,7 @@ func New(mod *ir.Module, opts Options) (*Machine, error) {
 		opts:       opts,
 		cost:       opts.Cost,
 		builtins:   make(map[string]Builtin),
-		globalAddr: make(map[string]uint64),
+		gaddr:      make([]uint64, len(mod.Globals)),
 		heapNext:   pmem.HeapBase,
 		max:        opts.StepLimit,
 		deadline:   opts.Deadline,
@@ -301,7 +314,7 @@ func New(mod *ir.Module, opts Options) (*Machine, error) {
 	// from PMBase (after one reserved allocator-metadata line).
 	volNext := uint64(pmem.GlobalBase)
 	pmNext := uint64(pmem.PMBase) + pmem.LineSize
-	for _, g := range mod.Globals {
+	for gi, g := range mod.Globals {
 		size := uint64(g.Elem.Size())
 		align := uint64(g.Elem.Align())
 		if g.PM && align < pmem.LineSize {
@@ -319,7 +332,7 @@ func New(mod *ir.Module, opts Options) (*Machine, error) {
 			addr = volNext
 			volNext += size
 		}
-		m.globalAddr[g.Name] = addr
+		m.gaddr[gi] = addr
 		if g.PM {
 			// Announce the persistent region to the trace (bug finders
 			// know registered pools; Trace-AA consumes these events).
@@ -367,11 +380,12 @@ func (m *Machine) RegisterBuiltin(name string, fn Builtin) { m.builtins[name] = 
 
 // GlobalAddr returns the simulated address of a global.
 func (m *Machine) GlobalAddr(name string) uint64 {
-	a, ok := m.globalAddr[name]
-	if !ok {
-		panic("interp: unknown global @" + name)
+	for i, g := range m.Mod.Globals[:len(m.gaddr)] {
+		if g.Name == name {
+			return m.gaddr[i]
+		}
 	}
-	return a
+	panic("interp: unknown global @" + name)
 }
 
 // Run executes the named entry function with integer/pointer arguments and
@@ -564,7 +578,7 @@ func (m *Machine) fillStack(out []trace.Frame, in *ir.Instr) {
 		if i == top && in != nil {
 			cur = in
 		}
-		fr := trace.Frame{Func: f.fn.Name}
+		fr := trace.Frame{Func: f.code.fn.Name}
 		if cur != nil {
 			fr.InstrID = cur.ID
 			fr.Loc = cur.Loc
@@ -626,199 +640,271 @@ func (m *Machine) PMEvents() int { return len(m.pmEventLog) }
 // machine's own log; callers must not mutate it.
 func (m *Machine) PMEventLog() []PMEventKind { return m.pmEventLog }
 
+// call runs fn with the given argument values on a new frame.
 func (m *Machine) call(fn *ir.Func, args []uint64) (uint64, error) {
-	if len(m.frames) >= 10_000 {
-		return 0, m.fault("stack overflow calling @%s", fn.Name)
+	f, err := m.enter(fn)
+	if err != nil {
+		return 0, err
 	}
-	f := m.getFrame(fn)
+	copy(f.regs[:len(fn.Params)], args)
+	return m.run(f)
+}
+
+// enter pushes a frame for fn. The caller fills the parameter registers
+// and then runs the frame.
+func (m *Machine) enter(fn *ir.Func) (*frame, error) {
+	if len(m.frames) >= 10_000 {
+		return nil, m.fault("stack overflow calling @%s", fn.Name)
+	}
+	f := m.getFrame(m.code(fn))
 	if len(m.frames) == 0 {
 		f.stackTop = m.stackBase
 	} else {
 		f.stackTop = m.frames[len(m.frames)-1].stackLow()
 	}
-	copy(f.regs, args)
 	m.frames = append(m.frames, f)
+	m.Clock.Advance(m.cost.Call)
+	return f, nil
+}
+
+// val reads a decoded operand: a register of the frame or the address of
+// a global.
+func (m *Machine) val(regs []uint64, r operand) uint64 {
+	if r >= 0 {
+		return regs[r]
+	}
+	return m.gaddr[^r]
+}
+
+// alu commits an arithmetic, comparison or cast result: truncated to the
+// result type, at ALU cost.
+func (m *Machine) alu(regs []uint64, d *dinstr, v uint64) {
+	regs[d.dst] = v & d.mask
+	m.Clock.Advance(m.cost.ALUOp)
+}
+
+// run executes the top frame f to its return and pops it. This is the
+// interpreter's one dispatch loop: the hot opcodes execute inline, the
+// rest in exec.
+func (m *Machine) run(f *frame) (uint64, error) {
 	defer func() {
 		m.frames = m.frames[:len(m.frames)-1]
 		m.framePool = append(m.framePool, f)
 	}()
-	m.Clock.Advance(m.cost.Call)
-
-	blk := fn.Entry()
+	code, regs := f.code, f.regs
+	blk := 0
 	for {
-		var next *ir.Block
-		for _, in := range blk.Instrs {
+		bc := &code.blocks[blk]
+		next := -1
+		for pc := bc.start; pc < bc.end; pc++ {
+			d := &code.instrs[pc]
 			m.steps++
-			m.ops[in.Op]++
+			m.ops[d.op]++
 			if m.steps > m.max {
-				return 0, &LimitError{Resource: "steps", Steps: m.steps, Limit: m.max, Stack: m.stack(in)}
+				return 0, &LimitError{Resource: "steps", Steps: m.steps, Limit: m.max, Stack: m.stack(d.in)}
 			}
 			if m.hasDeadline && m.steps&8191 == 0 && time.Now().After(m.deadline) {
-				return 0, &LimitError{Resource: "deadline", Steps: m.steps, Stack: m.stack(in)}
+				return 0, &LimitError{Resource: "deadline", Steps: m.steps, Stack: m.stack(d.in)}
 			}
-			f.cur = in
-			switch in.Op {
+			f.cur = d.in
+			switch d.op {
 			case ir.OpRet:
-				if len(in.Args) == 0 {
+				if d.size == 0 {
 					return 0, nil
 				}
-				return m.eval(f, in.Args[0]), nil
+				return m.val(regs, d.a), nil
 			case ir.OpJmp:
-				next = in.Succs[0]
+				next = int(d.a)
 			case ir.OpBr:
 				m.Clock.Advance(m.cost.ALUOp)
-				if m.eval(f, in.Args[0]) != 0 {
-					next = in.Succs[0]
+				if m.val(regs, d.a) != 0 {
+					next = int(d.b)
 				} else {
-					next = in.Succs[1]
+					next = int(d.c)
 				}
+
+			case ir.OpLoad:
+				addr := m.val(regs, d.a)
+				if !pmem.Mapped(addr) {
+					return 0, m.accessFault("load", addr, d.size)
+				}
+				regs[d.dst] = m.Mem.ReadUint(addr, int(d.size)) & d.mask
+				if pmem.IsPM(addr) {
+					m.Clock.Advance(m.cost.LoadPM)
+				} else {
+					m.Clock.Advance(m.cost.LoadDRAM)
+				}
+			case ir.OpStore, ir.OpNTStore:
+				val, addr := m.val(regs, d.a), m.val(regs, d.b)
+				if !pmem.Mapped(addr) {
+					return 0, m.accessFault("store", addr, d.size)
+				}
+				if pmem.IsPM(addr) {
+					if err := m.pmStore(d, addr, val); err != nil {
+						return 0, err
+					}
+				} else {
+					m.Mem.WriteUint(addr, int(d.size), val)
+					m.Clock.Advance(m.cost.StoreDRAM)
+				}
+			case ir.OpPtrAdd:
+				m.alu(regs, d, m.val(regs, d.a)+m.val(regs, d.b)*uint64(d.scale)+uint64(d.disp))
+
+			case ir.OpAdd:
+				m.alu(regs, d, m.val(regs, d.a)+m.val(regs, d.b))
+			case ir.OpSub:
+				m.alu(regs, d, m.val(regs, d.a)-m.val(regs, d.b))
+			case ir.OpMul:
+				m.alu(regs, d, m.val(regs, d.a)*m.val(regs, d.b))
+			case ir.OpSDiv, ir.OpSRem:
+				x, y := int64(m.val(regs, d.a)), int64(m.val(regs, d.b))
+				if y == 0 {
+					if d.op == ir.OpSDiv {
+						return 0, m.fault("division by zero")
+					}
+					return 0, m.fault("remainder by zero")
+				}
+				if d.op == ir.OpSDiv {
+					m.alu(regs, d, uint64(x/y))
+				} else {
+					m.alu(regs, d, uint64(x%y))
+				}
+			case ir.OpAnd:
+				m.alu(regs, d, m.val(regs, d.a)&m.val(regs, d.b))
+			case ir.OpOr:
+				m.alu(regs, d, m.val(regs, d.a)|m.val(regs, d.b))
+			case ir.OpXor:
+				m.alu(regs, d, m.val(regs, d.a)^m.val(regs, d.b))
+			case ir.OpShl:
+				m.alu(regs, d, m.val(regs, d.a)<<(m.val(regs, d.b)&63))
+			case ir.OpAShr:
+				m.alu(regs, d, uint64(int64(m.val(regs, d.a))>>(m.val(regs, d.b)&63)))
+
+			case ir.OpEq:
+				m.alu(regs, d, boolVal(m.val(regs, d.a) == m.val(regs, d.b)))
+			case ir.OpNe:
+				m.alu(regs, d, boolVal(m.val(regs, d.a) != m.val(regs, d.b)))
+			case ir.OpLt:
+				m.alu(regs, d, boolVal(int64(m.val(regs, d.a)) < int64(m.val(regs, d.b))))
+			case ir.OpLe:
+				m.alu(regs, d, boolVal(int64(m.val(regs, d.a)) <= int64(m.val(regs, d.b))))
+			case ir.OpGt:
+				m.alu(regs, d, boolVal(int64(m.val(regs, d.a)) > int64(m.val(regs, d.b))))
+			case ir.OpGe:
+				m.alu(regs, d, boolVal(int64(m.val(regs, d.a)) >= int64(m.val(regs, d.b))))
+
+			case ir.OpZExt, ir.OpTrunc, ir.OpPtrToInt, ir.OpIntToPtr:
+				m.alu(regs, d, m.val(regs, d.a))
+
+			case ir.OpCall:
+				ret, err := m.callSite(f, &code.calls[d.a])
+				if err != nil {
+					return 0, err
+				}
+				if d.dst >= 0 {
+					regs[d.dst] = ret
+				}
+
 			default:
-				if err := m.exec(f, in); err != nil {
+				if err := m.exec(f, d); err != nil {
 					return 0, err
 				}
 			}
 		}
-		if next == nil {
-			return 0, m.fault("block ^%s in @%s fell through", blk.Name, fn.Name)
+		if next < 0 {
+			return 0, m.fault("block ^%s in @%s fell through", bc.blk.Name, code.fn.Name)
 		}
 		blk = next
 	}
 }
 
-// eval computes an operand's runtime value.
-func (m *Machine) eval(f *frame, v ir.Value) uint64 {
-	switch x := v.(type) {
-	case *ir.Instr:
-		return f.regs[x.Slot]
-	case *ir.Const:
-		return uint64(x.Val)
-	case *ir.Param:
-		return f.regs[x.Index]
-	case *ir.Global:
-		return m.globalAddr[x.Name]
-	default:
-		panic(fmt.Sprintf("interp: unknown operand kind %T in @%s", v, f.fn.Name))
+// callSite executes a call from frame f: a builtin receives the argument
+// values in f's scratch vector, an IR callee has them written straight
+// into its parameter registers.
+func (m *Machine) callSite(f *frame, cs *callSite) (uint64, error) {
+	if cs.fn.IsDecl() {
+		b, ok := m.builtins[cs.fn.Name]
+		if !ok {
+			return 0, m.fault("call to unregistered external @%s", cs.fn.Name)
+		}
+		args := f.args[:0]
+		for _, r := range cs.args {
+			args = append(args, m.val(f.regs, r))
+		}
+		f.args = args
+		return b(m, args)
 	}
+	callee, err := m.enter(cs.fn)
+	if err != nil {
+		return 0, err
+	}
+	n := min(len(cs.args), len(cs.fn.Params))
+	for i, r := range cs.args[:n] {
+		callee.regs[i] = m.val(f.regs, r)
+	}
+	return m.run(callee)
 }
 
-func truncTo(ty ir.Type, v uint64) uint64 {
-	switch ty {
-	case ir.I1:
-		return v & 1
-	case ir.I8:
-		return v & 0xff
-	default:
-		return v
+// pmStore executes a store or NT-store to PM: the scheduler announcement,
+// the memory write, the trace event, the tracker's pending record and
+// the PM event boundary.
+func (m *Machine) pmStore(d *dinstr, addr, val uint64) error {
+	nt := d.op == ir.OpNTStore
+	pend := PendStore
+	if nt {
+		pend = PendNTStore
 	}
+	if err := m.yieldPM(pend, addr); err != nil {
+		return err
+	}
+	size := int(d.size)
+	m.Mem.WriteUint(addr, size, val)
+	// IR scalars are at most 8 bytes, so the payload fits a stack buffer
+	// encoded straight from the value; the tracker makes its own durable
+	// copy.
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], val)
+	data := buf[:size]
+	kind := trace.KindStore
+	if nt {
+		kind = trace.KindNTStore
+	}
+	e := trace.Event{Kind: kind, Addr: addr, Size: size}
+	if size == 8 && pmem.IsPM(val) {
+		// The stored value names a PM location: record it so the
+		// offline detector can replay pointer publications.
+		e.Val = val
+	}
+	seq := m.emit(d.in, e)
+	ev := EvStore
+	if nt {
+		ev = EvNTStore
+	}
+	if m.Track != nil {
+		if nt {
+			m.Track.OnNTStoreT(seq, m.curTid(), addr, data)
+		} else {
+			m.Track.OnStoreT(seq, m.curTid(), addr, data)
+		}
+	}
+	m.Clock.Advance(m.cost.StorePM)
+	return m.pmEvent(ev)
 }
 
-// exec runs one non-terminator instruction.
-func (m *Machine) exec(f *frame, in *ir.Instr) error {
-	switch in.Op {
+// exec runs one of the less frequent non-terminator instructions.
+func (m *Machine) exec(f *frame, d *dinstr) error {
+	in, regs := d.in, f.regs
+	switch d.op {
 	case ir.OpAlloca:
-		size := alignUp(uint64(in.AllocTy.Size()), 16)
-		addr := m.allocStack(size)
+		addr := m.allocStack(uint64(d.size))
 		if addr == 0 {
 			return m.fault("stack overflow in alloca")
 		}
-		f.regs[in.Slot] = addr
+		regs[d.dst] = addr
 		m.Clock.Advance(m.cost.ALUOp)
-
-	case ir.OpLoad:
-		addr := m.eval(f, in.Args[0])
-		if err := m.checkAccess(addr, in.Ty.Size(), "load"); err != nil {
-			return err
-		}
-		f.regs[in.Slot] = truncTo(in.Ty, m.Mem.ReadUint(addr, int(in.Ty.Size())))
-		if pmem.IsPM(addr) {
-			m.Clock.Advance(m.cost.LoadPM)
-		} else {
-			m.Clock.Advance(m.cost.LoadDRAM)
-		}
-
-	case ir.OpStore, ir.OpNTStore:
-		val := m.eval(f, in.Args[0])
-		addr := m.eval(f, in.Args[1])
-		size := in.StoreTy.Size()
-		if err := m.checkAccess(addr, size, "store"); err != nil {
-			return err
-		}
-		if pmem.IsPM(addr) {
-			pend := PendStore
-			if in.Op == ir.OpNTStore {
-				pend = PendNTStore
-			}
-			if err := m.yieldPM(pend, addr); err != nil {
-				return err
-			}
-			m.Mem.WriteUint(addr, int(size), val)
-			// IR scalars are at most 8 bytes, so the payload fits a stack
-			// buffer; the tracker makes its own durable copy.
-			var buf [8]byte
-			data := buf[:size]
-			m.Mem.Read(addr, data)
-			kind := trace.KindStore
-			if in.Op == ir.OpNTStore {
-				kind = trace.KindNTStore
-			}
-			e := trace.Event{Kind: kind, Addr: addr, Size: int(size)}
-			if size == 8 && pmem.IsPM(val) {
-				// The stored value names a PM location: record it so the
-				// offline detector can replay pointer publications.
-				e.Val = val
-			}
-			seq := m.emit(in, e)
-			ev := EvStore
-			if in.Op == ir.OpNTStore {
-				ev = EvNTStore
-			}
-			if m.Track != nil {
-				if in.Op == ir.OpNTStore {
-					m.Track.OnNTStoreT(seq, m.curTid(), addr, data)
-				} else {
-					m.Track.OnStoreT(seq, m.curTid(), addr, data)
-				}
-			}
-			m.Clock.Advance(m.cost.StorePM)
-			if err := m.pmEvent(ev); err != nil {
-				return err
-			}
-		} else {
-			m.Mem.WriteUint(addr, int(size), val)
-			m.Clock.Advance(m.cost.StoreDRAM)
-		}
-
-	case ir.OpPtrAdd:
-		base := m.eval(f, in.Args[0])
-		idx := m.eval(f, in.Args[1])
-		f.regs[in.Slot] = base + idx*uint64(in.Scale) + uint64(in.Disp)
-		m.Clock.Advance(m.cost.ALUOp)
-
-	case ir.OpCall:
-		args := make([]uint64, len(in.Args))
-		for i, a := range in.Args {
-			args[i] = m.eval(f, a)
-		}
-		var ret uint64
-		var err error
-		if in.Callee.IsDecl() {
-			b, ok := m.builtins[in.Callee.Name]
-			if !ok {
-				return m.fault("call to unregistered external @%s", in.Callee.Name)
-			}
-			ret, err = b(m, args)
-		} else {
-			ret, err = m.call(in.Callee, args)
-		}
-		if err != nil {
-			return err
-		}
-		if in.HasResult() {
-			f.regs[in.Slot] = ret
-		}
 
 	case ir.OpFlush:
-		addr := m.eval(f, in.Args[0])
+		addr := m.val(regs, d.a)
 		m.Clock.Advance(m.cost.Flush)
 		if pmem.IsPM(addr) {
 			if err := m.yieldFlush(addr, in.FlushK.Ordered()); err != nil {
@@ -857,23 +943,24 @@ func (m *Machine) exec(f *frame, in *ir.Instr) error {
 		}
 
 	case ir.OpSpawn:
-		args := make([]uint64, len(in.Args))
-		for i, a := range in.Args {
-			args[i] = m.eval(f, a)
+		cs := &f.code.calls[d.a]
+		args := make([]uint64, len(cs.args))
+		for i, r := range cs.args {
+			args[i] = m.val(regs, r)
 		}
 		m.ensureMT()
 		if err := m.yieldPM(PendSpawn, 0); err != nil {
 			return err
 		}
-		tid, err := m.spawnThread(in.Callee, args)
+		tid, err := m.spawnThread(cs.fn, args)
 		if err != nil {
 			return err
 		}
-		f.regs[in.Slot] = uint64(tid)
+		regs[d.dst] = uint64(tid)
 		m.Clock.Advance(m.cost.Call)
 
 	case ir.OpJoin:
-		h := m.eval(f, in.Args[0])
+		h := m.val(regs, d.a)
 		if m.mt == nil {
 			return m.fault("join before any spawn")
 		}
@@ -894,18 +981,18 @@ func (m *Machine) exec(f *frame, in *ir.Instr) error {
 			return m.fault("thread %d joined twice", tid)
 		}
 		t.joined = true
-		f.regs[in.Slot] = t.result
+		regs[d.dst] = t.result
 		m.Clock.Advance(m.cost.Call)
 
 	case ir.OpAtomicLoad:
-		addr := m.eval(f, in.Args[0])
-		if err := m.checkAccess(addr, 8, "atomic load"); err != nil {
-			return err
+		addr := m.val(regs, d.a)
+		if !pmem.Mapped(addr) {
+			return m.accessFault("atomic load", addr, 8)
 		}
 		if err := m.yieldPM(PendAtomic, addr); err != nil {
 			return err
 		}
-		f.regs[in.Slot] = m.Mem.ReadUint(addr, 8)
+		regs[d.dst] = m.Mem.ReadUint(addr, 8)
 		if pmem.IsPM(addr) {
 			m.Clock.Advance(m.cost.LoadPM)
 		} else {
@@ -913,10 +1000,9 @@ func (m *Machine) exec(f *frame, in *ir.Instr) error {
 		}
 
 	case ir.OpAtomicStore:
-		val := m.eval(f, in.Args[0])
-		addr := m.eval(f, in.Args[1])
-		if err := m.checkAccess(addr, 8, "atomic store"); err != nil {
-			return err
+		val, addr := m.val(regs, d.a), m.val(regs, d.b)
+		if !pmem.Mapped(addr) {
+			return m.accessFault("atomic store", addr, 8)
 		}
 		if err := m.yieldPM(PendAtomic, addr); err != nil {
 			return err
@@ -926,10 +1012,9 @@ func (m *Machine) exec(f *frame, in *ir.Instr) error {
 		}
 
 	case ir.OpAtomicRMW:
-		operand := m.eval(f, in.Args[0])
-		addr := m.eval(f, in.Args[1])
-		if err := m.checkAccess(addr, 8, "atomic rmw"); err != nil {
-			return err
+		operand, addr := m.val(regs, d.a), m.val(regs, d.b)
+		if !pmem.Mapped(addr) {
+			return m.accessFault("atomic rmw", addr, 8)
 		}
 		if err := m.yieldPM(PendAtomic, addr); err != nil {
 			return err
@@ -947,14 +1032,12 @@ func (m *Machine) exec(f *frame, in *ir.Instr) error {
 		if err := m.atomicWrite(in, addr, nv); err != nil {
 			return err
 		}
-		f.regs[in.Slot] = old
+		regs[d.dst] = old
 
 	case ir.OpAtomicCAS:
-		expect := m.eval(f, in.Args[0])
-		nv := m.eval(f, in.Args[1])
-		addr := m.eval(f, in.Args[2])
-		if err := m.checkAccess(addr, 8, "atomic cas"); err != nil {
-			return err
+		expect, nv, addr := m.val(regs, d.a), m.val(regs, d.b), m.val(regs, d.c)
+		if !pmem.Mapped(addr) {
+			return m.accessFault("atomic cas", addr, 8)
 		}
 		if err := m.yieldPM(PendAtomic, addr); err != nil {
 			return err
@@ -967,31 +1050,10 @@ func (m *Machine) exec(f *frame, in *ir.Instr) error {
 		} else {
 			m.Clock.Advance(m.cost.LoadDRAM)
 		}
-		f.regs[in.Slot] = old
+		regs[d.dst] = old
 
 	default:
-		switch {
-		case in.Op.IsBinary():
-			x := m.eval(f, in.Args[0])
-			y := m.eval(f, in.Args[1])
-			v, err := binOp(in.Op, x, y, in.Ty)
-			if err != nil {
-				return m.fault("%s", err)
-			}
-			f.regs[in.Slot] = truncTo(in.Ty, v)
-			m.Clock.Advance(m.cost.ALUOp)
-		case in.Op.IsCmp():
-			x := int64(m.eval(f, in.Args[0]))
-			y := int64(m.eval(f, in.Args[1]))
-			f.regs[in.Slot] = boolVal(cmpOp(in.Op, x, y))
-			m.Clock.Advance(m.cost.ALUOp)
-		case in.Op.IsCast():
-			v := m.eval(f, in.Args[0])
-			f.regs[in.Slot] = truncTo(in.Ty, v)
-			m.Clock.Advance(m.cost.ALUOp)
-		default:
-			return m.fault("cannot execute %s", ir.FormatInstr(in))
-		}
+		return m.fault("cannot execute %s", ir.FormatInstr(in))
 	}
 	return nil
 }
@@ -1007,8 +1069,8 @@ func (m *Machine) atomicWrite(in *ir.Instr, addr, val uint64) error {
 		return nil
 	}
 	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], val)
 	data := buf[:]
-	m.Mem.Read(addr, data)
 	e := trace.Event{Kind: trace.KindStore, Addr: addr, Size: 8}
 	if pmem.IsPM(val) {
 		e.Val = val
@@ -1021,61 +1083,11 @@ func (m *Machine) atomicWrite(in *ir.Instr, addr, val uint64) error {
 	return m.pmEvent(EvStore)
 }
 
-func (m *Machine) checkAccess(addr uint64, size int64, op string) error {
-	if pmem.RegionOf(addr) == pmem.RegionInvalid {
-		return m.fault("invalid %s of %d bytes at %#x", op, size, addr)
-	}
-	return nil
-}
-
-func binOp(op ir.Op, x, y uint64, ty ir.Type) (uint64, error) {
-	switch op {
-	case ir.OpAdd:
-		return x + y, nil
-	case ir.OpSub:
-		return x - y, nil
-	case ir.OpMul:
-		return x * y, nil
-	case ir.OpSDiv:
-		if y == 0 {
-			return 0, fmt.Errorf("division by zero")
-		}
-		return uint64(int64(x) / int64(y)), nil
-	case ir.OpSRem:
-		if y == 0 {
-			return 0, fmt.Errorf("remainder by zero")
-		}
-		return uint64(int64(x) % int64(y)), nil
-	case ir.OpAnd:
-		return x & y, nil
-	case ir.OpOr:
-		return x | y, nil
-	case ir.OpXor:
-		return x ^ y, nil
-	case ir.OpShl:
-		return x << (y & 63), nil
-	case ir.OpAShr:
-		return uint64(int64(x) >> (y & 63)), nil
-	}
-	return 0, fmt.Errorf("bad binary op %s", op)
-}
-
-func cmpOp(op ir.Op, x, y int64) bool {
-	switch op {
-	case ir.OpEq:
-		return x == y
-	case ir.OpNe:
-		return x != y
-	case ir.OpLt:
-		return x < y
-	case ir.OpLe:
-		return x <= y
-	case ir.OpGt:
-		return x > y
-	case ir.OpGe:
-		return x >= y
-	}
-	panic("interp: bad comparison " + op.String())
+// accessFault is the access-check failure: every load, store and atomic
+// access tests its address with pmem.Mapped inline and faults here when
+// it lies outside every mapped region of the simulated address space.
+func (m *Machine) accessFault(op string, addr uint64, size int64) error {
+	return m.fault("invalid %s of %d bytes at %#x", op, size, addr)
 }
 
 func boolVal(b bool) uint64 {

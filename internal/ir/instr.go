@@ -289,6 +289,16 @@ func (in *Instr) OperandString() string { return "%" + in.Name }
 // Block returns the containing basic block (nil if detached).
 func (in *Instr) Block() *Block { return in.blk }
 
+// SetCallee retargets a call or spawn in place. It counts as a structural
+// edit of the containing function, so memoized fingerprints and decoded
+// bodies are dropped.
+func (in *Instr) SetCallee(fn *Func) {
+	in.Callee = fn
+	if in.blk != nil && in.blk.fn != nil {
+		in.blk.fn.mutated()
+	}
+}
+
 // HasResult reports whether the instruction produces a value.
 func (in *Instr) HasResult() bool {
 	return in.Ty != nil && in.Ty != Void

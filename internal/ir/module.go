@@ -3,6 +3,7 @@ package ir
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // Module is a whole program: struct type definitions, globals and
@@ -129,11 +130,18 @@ type Func struct {
 	// executors can skip (write-free) renumbering of clean functions and
 	// share clean modules across goroutines.
 	dirty bool
-	// fp memoizes FuncFingerprint for the current body. Structural
-	// mutations and Renumber clear it; in-place operand edits must be
-	// followed by Renumber before re-fingerprinting (the same contract
-	// Renumber's own doc already imposes on passes that change bodies).
-	fp string
+	// fp memoizes FuncFingerprint for the current body, and exec
+	// memoizes the interpreter's decoded form of it (see ExecMemo).
+	// Structural mutations and Renumber clear both; in-place operand or
+	// callee edits must be followed by Renumber (or go through a mutating
+	// helper such as Instr.SetCallee) before the function is
+	// re-fingerprinted or executed again — the same contract Renumber's
+	// own doc already imposes on passes that change bodies. fp is filled
+	// by single-threaded analyses; exec is filled atomically on first
+	// execution, so every machine running a clean module — including
+	// concurrent ones — shares one decode.
+	fp   string
+	exec atomic.Pointer[any]
 }
 
 // NewFunc creates a detached function. Use Module.AddFunc to register it.
@@ -158,6 +166,7 @@ func (f *Func) Entry() *Block {
 // AddBlock appends a new basic block with the given name.
 func (f *Func) AddBlock(name string) *Block {
 	b := &Block{Name: name, fn: f}
+	f.mutated()
 	f.Blocks = append(f.Blocks, b)
 	return b
 }
@@ -208,6 +217,7 @@ func (f *Func) Renumber() {
 	f.numSlots = slot
 	f.dirty = false
 	f.fp = ""
+	f.exec.Store(nil)
 }
 
 // NumSlots returns the register-file size assigned by Renumber.
@@ -221,7 +231,23 @@ func (f *Func) NeedsRenumber() bool { return f.dirty }
 func (f *Func) mutated() {
 	f.dirty = true
 	f.fp = ""
+	f.exec.Store(nil)
 }
+
+// ExecMemo returns the executor's memoized decoded body, or nil when the
+// body has never been executed or changed since. The value is immutable
+// once published; it is opaque to this package.
+func (f *Func) ExecMemo() any {
+	if p := f.exec.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// SetExecMemo publishes a decoded body for the current (renumbered) body.
+// Concurrent machines may race to publish equivalent decodes; any winner
+// is correct.
+func (f *Func) SetExecMemo(v any) { f.exec.Store(&v) }
 
 // InstrByID returns the instruction with the given ID, or nil. IDs are
 // only meaningful after Renumber.

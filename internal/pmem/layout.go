@@ -94,6 +94,14 @@ func RegionOf(addr uint64) Region {
 	}
 }
 
+// Mapped reports whether addr lies in a valid region — exactly
+// RegionOf(addr) != RegionInvalid, as two comparisons for the
+// interpreter's per-access check: the PM range, or the contiguous
+// globals/heap/stack span [GlobalBase, StackBase).
+func Mapped(addr uint64) bool {
+	return addr >= PMBase || addr-GlobalBase < StackBase-GlobalBase
+}
+
 // IsPM reports whether addr is in the persistent range.
 func IsPM(addr uint64) bool { return addr >= PMBase }
 

@@ -8,6 +8,16 @@ import (
 // pageSize is the granularity of the sparse backing store.
 const pageSize = 1 << 12
 
+// pageCacheSlots sizes each Memory's direct-mapped cache of privately
+// owned pages (a power of two: the slot is the page number's low bits).
+const pageCacheSlots = 16
+
+// cachedPage is one page-cache slot; pg == nil marks it empty.
+type cachedPage struct {
+	pn uint64
+	pg *[pageSize]byte
+}
+
 // CowStats aggregates copy-on-write page accounting for one snapshot
 // family (every Memory derived from the same root shares one). The
 // fields are atomic because image overlays derived from a shared frozen
@@ -32,7 +42,15 @@ type CowStats struct {
 // touched page. Overlay layers an empty page map over a frozen base, so
 // many images can share one durable base; the base must not be written
 // while overlays of it are live.
+//
+// A small direct-mapped cache of pages this memory privately owns sits in
+// front of the page map. Only the write path fills it (a page it returns
+// is never shared with a snapshot and never belongs to a base), and
+// Snapshot clears it, because sharing the pages ends their private
+// ownership. Reads consult it but never write it, so a frozen base read
+// by concurrent overlays stays read-only.
 type Memory struct {
+	cache [pageCacheSlots]cachedPage
 	pages map[uint64]*[pageSize]byte
 	// shared marks pages co-owned with a snapshot: a write must copy the
 	// page before mutating it. Allocated lazily.
@@ -67,37 +85,52 @@ func (m *Memory) lookup(pn uint64) *[pageSize]byte {
 func (m *Memory) page(addr uint64, create bool) (*[pageSize]byte, uint64) {
 	pn := addr / pageSize
 	off := addr % pageSize
+	if c := &m.cache[pn%pageCacheSlots]; c.pg != nil && c.pn == pn {
+		return c.pg, off
+	}
+	if !create {
+		if pg, ok := m.pages[pn]; ok {
+			return pg, off
+		}
+		if m.base != nil {
+			return m.base.lookup(pn), off
+		}
+		return nil, off
+	}
+	pg := m.ownPage(pn)
+	m.cache[pn%pageCacheSlots] = cachedPage{pn: pn, pg: pg}
+	return pg, off
+}
+
+// ownPage returns page pn for writing, privatizing it first: a page
+// shared with a snapshot is copied, a page of the frozen base is copied
+// up, and an untouched page materializes zeroed.
+func (m *Memory) ownPage(pn uint64) *[pageSize]byte {
 	if pg, ok := m.pages[pn]; ok {
-		if create && m.shared[pn] {
+		if m.shared[pn] {
 			// Copy-on-write: privatize the page co-owned with a snapshot.
 			cp := new([pageSize]byte)
 			*cp = *pg
 			m.pages[pn] = cp
 			delete(m.shared, pn)
 			m.stats.PagesCopied.Add(1)
-			return cp, off
+			return cp
 		}
-		return pg, off
+		return pg
 	}
 	if m.base != nil {
 		if bp := m.base.lookup(pn); bp != nil {
-			if !create {
-				return bp, off
-			}
 			// Copy-up: writes never reach the frozen base.
 			cp := new([pageSize]byte)
 			*cp = *bp
 			m.pages[pn] = cp
 			m.stats.PagesCopied.Add(1)
-			return cp, off
+			return cp
 		}
-	}
-	if !create {
-		return nil, off
 	}
 	pg := new([pageSize]byte)
 	m.pages[pn] = pg
-	return pg, off
+	return pg
 }
 
 // Snapshot returns a copy-on-write copy of the memory: both sides keep
@@ -110,6 +143,8 @@ func (m *Memory) Snapshot() *Memory {
 		base:  m.base,
 		stats: m.stats,
 	}
+	// The shared pages are no longer privately owned.
+	m.cache = [pageCacheSlots]cachedPage{}
 	if len(m.pages) > 0 {
 		nm.shared = make(map[uint64]bool, len(m.pages))
 		if m.shared == nil {
@@ -205,8 +240,18 @@ func (m *Memory) Write(addr uint64, src []byte) {
 }
 
 // ReadUint reads a little-endian unsigned integer of the given byte size
-// (1 or 8).
+// (1 or 8). A 1- or 8-byte access within a cached page is served
+// directly from it.
 func (m *Memory) ReadUint(addr uint64, size int) uint64 {
+	pn, off := addr/pageSize, addr%pageSize
+	if c := &m.cache[pn%pageCacheSlots]; c.pg != nil && c.pn == pn {
+		if size == 8 && off <= pageSize-8 {
+			return binary.LittleEndian.Uint64(c.pg[off:])
+		}
+		if size == 1 {
+			return uint64(c.pg[off])
+		}
+	}
 	switch size {
 	case 1:
 		return uint64(m.Load8(addr))
@@ -225,8 +270,21 @@ func (m *Memory) ReadUint(addr uint64, size int) uint64 {
 	}
 }
 
-// WriteUint writes a little-endian unsigned integer of the given byte size.
+// WriteUint writes a little-endian unsigned integer of the given byte
+// size. Like ReadUint, a 1- or 8-byte access within a cached page goes
+// straight to it.
 func (m *Memory) WriteUint(addr uint64, size int, v uint64) {
+	pn, off := addr/pageSize, addr%pageSize
+	if c := &m.cache[pn%pageCacheSlots]; c.pg != nil && c.pn == pn {
+		if size == 8 && off <= pageSize-8 {
+			binary.LittleEndian.PutUint64(c.pg[off:], v)
+			return
+		}
+		if size == 1 {
+			c.pg[off] = byte(v)
+			return
+		}
+	}
 	switch size {
 	case 1:
 		m.Store8(addr, byte(v))

@@ -1,7 +1,9 @@
 package pmem
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -345,14 +347,11 @@ func (t *Tracker) OnFenceT(seq, tid int) int {
 		}
 	}
 	t.nPending -= drained
-	// Insertion sort by Seq: commit order must be global store order (so
-	// later overwrites win in the durable image), and fences typically
-	// drain a handful of stores.
-	for i := 1; i < len(commits); i++ {
-		for j := i; j > 0 && commits[j-1].Seq > commits[j].Seq; j-- {
-			commits[j-1], commits[j] = commits[j], commits[j-1]
-		}
-	}
+	// Sort by Seq: commit order must be global store order (so later
+	// overwrites win in the durable image). Seqs are unique, so any sort
+	// gives the one order; map iteration scrambles the input, so it needs
+	// an O(n log n) sort on fences that drain a whole record.
+	slices.SortFunc(commits, func(a, b *TrackedStore) int { return cmp.Compare(a.Seq, b.Seq) })
 	for _, st := range commits {
 		t.commit(st)
 	}
@@ -405,8 +404,12 @@ func (t *Tracker) lastFenceOf(tid int) int {
 // OnCheckpoint evaluates a durability point: every pending store is a
 // violation, classified per the paper's bug taxonomy. Pending stores are
 // kept (the program may still persist them later; the detector
-// deduplicates reports by program location).
+// deduplicates reports by program location). With nothing pending it
+// returns nil without allocating.
 func (t *Tracker) OnCheckpoint(seq int) []Violation {
+	if t.nPending == 0 {
+		return nil
+	}
 	out := make([]Violation, 0, t.nPending)
 	for _, list := range t.pending {
 		for _, st := range list {

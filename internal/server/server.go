@@ -321,9 +321,9 @@ func (s *Server) SubmitTraced(req *cli.Request, traceID string) (*Job, error) {
 		job.respJSON = data
 		job.cacheHit = true
 		job.mu.Unlock()
-		close(job.done)
 		s.cached.Add(1)
 		s.completed.Add(1)
+		close(job.done)
 		s.rec.Add("server.jobs.response_cache_hits", 1)
 		s.remember(job)
 		s.logf("%s trace=%s %s %s: response cache hit", job.ID, job.TraceID, req.Mode, req.Program)
@@ -500,15 +500,15 @@ func (s *Server) runJob(job *Job) {
 			job.respJSON = data
 		}
 		job.mu.Unlock()
-		close(job.done)
 		elapsed := time.Since(started)
+		// Account for the job — counters, the service-wide aggregate, the
+		// flight recorder — before waking waiters, so a caller that saw
+		// the job finish also sees it in /metrics.
 		if err != nil {
 			s.failed.Add(1)
 			s.rec.Add("server.jobs.failed", 1)
-			s.logf("%s trace=%s %s %s: FAILED in %s: %v", job.ID, job.TraceID, req.Mode, req.Program, elapsed.Round(time.Millisecond), err)
 		} else {
 			s.completed.Add(1)
-			s.logf("%s trace=%s %s %s: done in %s", job.ID, job.TraceID, req.Mode, req.Program, elapsed.Round(time.Millisecond))
 		}
 		// Fold the job's counters, gauges, and per-phase wall times into
 		// the service-wide aggregate. Span trees stay on the job recorder.
@@ -535,6 +535,12 @@ func (s *Server) runJob(job *Job) {
 			}
 			return spans, rec.AuditTrail()
 		})
+		close(job.done)
+		if err != nil {
+			s.logf("%s trace=%s %s %s: FAILED in %s: %v", job.ID, job.TraceID, req.Mode, req.Program, elapsed.Round(time.Millisecond), err)
+		} else {
+			s.logf("%s trace=%s %s %s: done in %s", job.ID, job.TraceID, req.Mode, req.Program, elapsed.Round(time.Millisecond))
+		}
 	}
 
 	// Artifact cache: compile once per (program, source), clone per job —
