@@ -95,11 +95,13 @@ mt-smoke:
 	$(GO) test ./internal/static/ -run TestProgenThreadedAgreement -count=1
 
 # verify is the tier-1 gate (referenced from ROADMAP.md): vet, build, the
-# full suite under the race detector, the agreement harness, and the
-# telemetry, crash-validation, interleaving, incremental-analysis, and
-# repair-service smoke tests.
+# full suite under the race detector, the nested perfbench module (which
+# the root build does not compile, yet imports the core and cli APIs), the
+# agreement harness, and the telemetry, crash-validation, interleaving,
+# incremental-analysis, and repair-service smoke tests.
 verify: vet build
 	$(GO) test -race ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 	$(MAKE) agreement
 	$(MAKE) metrics-smoke
 	$(MAKE) crash-smoke

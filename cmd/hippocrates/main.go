@@ -222,13 +222,14 @@ func run(path, out, tracePath string, showFixes, showDiff bool,
 		}
 	}
 	var fix *core.Result
-	switch {
-	case resp.Pipeline != nil:
-		fix = resp.Pipeline.Fix
-	case resp.MT != nil:
-		fix = resp.MT.Fix
-	case resp.StaticResult != nil:
-		fix = resp.StaticResult.Fix
+	var after interface {
+		Clean() bool
+		Summary() string
+	}
+	if r := resp.StaticResult; r != nil {
+		fix, after = r.Fix, r.After
+	} else {
+		fix, after = resp.Pipeline.Fix, resp.Pipeline.After
 	}
 	if fix != nil {
 		fmt.Printf("hippocrates: applied %d fix(es): %d interprocedural, %d reduced away, %d persistent subprogram(s)\n",
@@ -255,18 +256,16 @@ func run(path, out, tracePath string, showFixes, showDiff bool,
 		fmt.Printf("hippocrates: crashcheck under schedule %s: %s (%d crash point(s), %d image(s))\n",
 			sc.Schedule, status, sc.Report.Points, sc.Report.Schedules)
 	}
-	if resp.Pipeline != nil {
-		for i, round := range resp.Pipeline.CrashRounds {
-			status := "PASS"
-			if !round.Passed() {
-				status = fmt.Sprintf("%d point(s) still failing", len(round.Failures))
-			}
-			fmt.Printf("hippocrates: crashcheck after fix %d/%d: %s (%d schedule(s), %d deduped)\n",
-				i+1, len(resp.Pipeline.CrashRounds)+1, status, round.Schedules, round.DedupedSchedules)
+	for i, round := range resp.CrashRounds {
+		status := "PASS"
+		if !round.Passed {
+			status = fmt.Sprintf("%d point(s) still failing", len(round.Failures))
 		}
-		if resp.Pipeline.Crash != nil {
-			fmt.Print(resp.Pipeline.Crash.Summary())
-		}
+		fmt.Printf("hippocrates: crashcheck after fix %d/%d: %s (%d schedule(s), %d deduped)\n",
+			i+1, len(resp.CrashRounds)+1, status, round.Schedules, round.Stats.DedupedSchedules)
+	}
+	if resp.Crash != nil {
+		fmt.Print(resp.Pipeline.Crash[0].Report.Summary())
 	}
 	repairErr := error(nil)
 	if resp.Fixed {
@@ -280,13 +279,8 @@ func run(path, out, tracePath string, showFixes, showDiff bool,
 			}
 		}
 	} else {
-		switch {
-		case resp.Pipeline != nil && !resp.Pipeline.After.Clean():
-			fmt.Print(resp.Pipeline.After.Summary())
-		case resp.MT != nil && !resp.MT.After.Clean():
-			fmt.Print(resp.MT.After.Summary())
-		case resp.StaticResult != nil && !resp.StaticResult.After.Clean():
-			fmt.Print(resp.StaticResult.After.Summary())
+		if !after.Clean() {
+			fmt.Print(after.Summary())
 		}
 		repairErr = fmt.Errorf("repair incomplete")
 	}

@@ -193,8 +193,8 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if *saveTrace != "" && resp.Trace != nil {
-		if err := cli.WriteTrace(resp.Trace, *saveTrace); err != nil {
+	if *saveTrace != "" {
+		if err := cli.WriteTrace(resp.Pipeline.Trace(), *saveTrace); err != nil {
 			fail(err)
 		}
 	}
@@ -223,8 +223,8 @@ func main() {
 		fmt.Print(resp.StaticResult.Before.Summary())
 		clean = resp.StaticResult.Before.Clean()
 	default:
-		fmt.Print(resp.Check.Summary())
-		clean = resp.Check.Clean()
+		fmt.Print(resp.Pipeline.Before.Summary())
+		clean = resp.Pipeline.Before.Clean()
 	}
 	if resp.Optimize != nil {
 		fmt.Print(resp.Optimize.Summary())
@@ -237,8 +237,8 @@ func main() {
 	// (the module is never written) so spans and the audit trail cover
 	// plan→apply→revalidate. Failures here are reported but do not change
 	// the detection exit status.
-	if obsFlags.Enabled() && !clean && resp.Check != nil {
-		if _, rerr := core.Repair(resp.Module, resp.Trace, resp.Check, core.Options{Obs: root}); rerr != nil {
+	if obsFlags.Enabled() && !clean && !*threads && resp.Pipeline != nil {
+		if _, rerr := core.Repair(resp.Module, resp.Pipeline.Trace(), resp.Pipeline.Before, core.Options{Obs: root}); rerr != nil {
 			fmt.Fprintln(os.Stderr, "pmcheck: shadow repair:", rerr)
 		} else {
 			rsp := root.Start("revalidate")

@@ -206,12 +206,12 @@ func run(path string, argStrs []string, cfg runCfg,
 		}
 		var failed int
 		if cfg.threads {
-			// Threads mode sweeps every explored interleaving; the
-			// per-schedule reports replace the single CrashReport.
+			// Threads mode sweeps every explored interleaving.
 			failed = printScheduleCrash(resp)
 		} else {
-			fmt.Print(resp.CrashReport.Summary())
-			failed = len(resp.CrashReport.Failures)
+			rep := resp.Pipeline.Crash[0].Report
+			fmt.Print(rep.Summary())
+			failed = len(rep.Failures)
 		}
 		root.End()
 		if err := obsFlags.Finish(rec, os.Stdout); err != nil {

@@ -47,7 +47,7 @@ type MTTarget struct {
 	// UnionBugs counts the class-deduplicated reports across every
 	// explored schedule before repair.
 	UnionBugs int `json:"union_bugs"`
-	// RepairNs times core.RunAndRepairMT end to end, including the
+	// RepairNs times core.RunAndRepair end to end, including the
 	// post-repair crash sweep of every explored interleaving.
 	RepairNs    int64 `json:"repair_ns"`
 	CrashPoints int   `json:"crash_points"`
@@ -116,7 +116,7 @@ func MeasureMTSweep() (*MTReport, error) {
 
 		mod = p.MustCompile()
 		start = time.Now()
-		res, err := core.RunAndRepairMT(mod, p.Entry, core.Options{
+		res, err := core.RunAndRepair(mod, p.Entry, core.Options{
 			MaxSchedules: MTMaxSchedules,
 			CrashCheck:   &crashsim.Options{MaxPoints: 12, MaxImages: 4, Workers: 1},
 		})
@@ -125,7 +125,9 @@ func MeasureMTSweep() (*MTReport, error) {
 			return nil, fmt.Errorf("%s: repair: %w", p.Name, err)
 		}
 		tgt.UnionBugs = len(res.Before.Reports)
-		tgt.CrashPoints = res.CrashPoints
+		for _, c := range res.Crash {
+			tgt.CrashPoints += c.Report.Points
+		}
 		tgt.Fixed = res.Fixed()
 
 		rep.Targets = append(rep.Targets, tgt)

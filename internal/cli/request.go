@@ -80,13 +80,13 @@ type Request struct {
 	CrashImages int `json:"crash_images,omitempty"`
 	// NoDedup disables content-addressed verdict dedup (debug hatch).
 	NoDedup bool `json:"no_dedup,omitempty"`
-	// Threads switches repair/check/crash to the interleaving-aware
-	// pipeline: the workload's thread schedules are explored (bounded,
-	// with persistence-aware partial-order reduction), the detector runs
-	// under every explored schedule, and — in repair and crash modes
-	// with crash validation — every explored interleaving is
-	// crash-swept. Requires dynamic execution (no static, no trace
-	// replay, no optimize).
+	// Threads widens the dynamic loop from the round-robin schedule
+	// alone to the workload's thread interleavings (bounded, with
+	// persistence-aware partial-order reduction): the detector runs
+	// under every explored schedule, and crash validation sweeps every
+	// explored interleaving. The response then carries the schedules
+	// document and per-interleaving crash sweeps. Requires dynamic
+	// execution (no static, no trace replay, no optimize).
 	Threads bool `json:"threads,omitempty"`
 	// MaxSchedules bounds the interleaving search (0 = the
 	// schedule-package default). Only meaningful with Threads.
@@ -278,7 +278,13 @@ func (q *Request) coreOptions() core.Options {
 		StepLimit:       q.StepLimit,
 		DebugScores:     q.DebugScores,
 		SummaryStore:    q.SummaryStore,
-		MaxSchedules:    q.MaxSchedules,
+		// Without Threads the loop explores exactly the round-robin
+		// schedule: the paper's single-trace pipeline. With it, the
+		// requested budget (0 = the schedule-package default).
+		MaxSchedules: 1,
+	}
+	if q.Threads {
+		opts.MaxSchedules = q.MaxSchedules
 	}
 	switch q.Flush {
 	case "clflushopt":
@@ -291,7 +297,8 @@ func (q *Request) coreOptions() core.Options {
 	if q.Marks == "trace-aa" {
 		opts.Marks = core.TraceAA
 	}
-	if q.CrashCheck {
+	// Check mode detects only; its crashcheck flag has no stage to drive.
+	if q.CrashCheck && q.Mode != ModeCheck {
 		opts.CrashCheck = q.crashOptions()
 	}
 	return opts

@@ -11,10 +11,8 @@ import (
 	"hippocrates/internal/lang"
 	"hippocrates/internal/obs"
 	"hippocrates/internal/optimize"
-	"hippocrates/internal/pmcheck"
 	"hippocrates/internal/schedule"
 	"hippocrates/internal/static"
-	"hippocrates/internal/trace"
 )
 
 // FixDoc is one applied fix in API form.
@@ -122,20 +120,55 @@ type Response struct {
 
 	// Module is the (possibly repaired) module.
 	Module *ir.Module `json:"-"`
-	// Pipeline / StaticResult is the raw pipeline outcome of repair mode
-	// (exactly one is set, by Static).
-	Pipeline     *core.PipelineResult       `json:"-"`
+	// Pipeline is the dynamic loop's raw outcome (repair, check, and
+	// crash modes without Static).
+	Pipeline *core.PipelineResult `json:"-"`
+	// StaticResult / StaticCheck are the static repair and check
+	// modes' raw outcomes.
 	StaticResult *core.StaticPipelineResult `json:"-"`
-	// Trace / Check / StaticCheck are check mode's raw outcomes.
-	Trace       *trace.Trace    `json:"-"`
-	Check       *pmcheck.Result `json:"-"`
-	StaticCheck *static.Result  `json:"-"`
-	// CrashReport is crash mode's raw report.
-	CrashReport *crashsim.Report `json:"-"`
-	// MT is the raw interleaving-aware repair outcome (Threads repair
-	// mode); Exploration the raw search of check/crash Threads modes.
-	MT          *core.MTResult   `json:"-"`
-	Exploration *schedule.Result `json:"-"`
+	StaticCheck  *static.Result             `json:"-"`
+}
+
+// ScheduleDoc summarizes the interleaving exploration of a Threads run
+// in API form. Everything outside Stats is a deterministic function of
+// the request: the search is sequential and the partial-order reduction
+// canonical, so the explored set, the buggy schedule id, and the
+// truncation flag reproduce byte-for-byte. Stats mirrors the crash
+// report's quarantine convention — accounting lives in its own
+// sub-object that identity comparisons (the server soak test) zero out.
+type ScheduleDoc struct {
+	// Threads is the maximum thread count any explored run reached.
+	Threads int `json:"threads"`
+	// BuggySchedule is the replayable id of the first interleaving the
+	// detector rejected before repair ("" when the program was clean
+	// under every explored schedule).
+	BuggySchedule string `json:"buggy_schedule,omitempty"`
+	// Truncated reports that MaxSchedules cut the search off with
+	// unexplored interleavings remaining.
+	Truncated bool `json:"truncated,omitempty"`
+	// Stats is the exploration accounting.
+	Stats ScheduleStatsDoc `json:"stats"`
+}
+
+// ScheduleStatsDoc is the exploration's accounting sub-object.
+type ScheduleStatsDoc struct {
+	// SchedulesExplored / SchedulesPruned count executed interleavings
+	// and alternatives skipped by partial-order reduction (of the final
+	// exploration: post-repair in repair mode).
+	SchedulesExplored int `json:"schedules_explored"`
+	SchedulesPruned   int `json:"schedules_pruned"`
+	// CrashPoints is the total crash-point count swept across all
+	// schedules (0 when no crash validation ran).
+	CrashPoints int `json:"crash_points,omitempty"`
+}
+
+// ScheduleCrashDoc is one interleaving's crash sweep in API form.
+type ScheduleCrashDoc struct {
+	// Schedule is the interleaving's replayable id.
+	Schedule string `json:"schedule"`
+	// Report is the crash-validation report for the workload run under
+	// that interleaving.
+	Report *crashsim.ReportDoc `json:"report"`
 }
 
 // EncodeJSON renders the response's wire form: indented, deterministic,
@@ -204,31 +237,13 @@ func RunModule(q *Request, mod *ir.Module, root *obs.Span) (*Response, error) {
 	}
 
 	var err error
-	switch q.Mode {
-	case ModeRepair:
-		switch {
-		case q.Static:
-			err = runStaticRepair(q, mod, opts, resp)
-		case q.Threads:
-			err = runRepairMT(q, mod, opts, resp)
-		default:
-			err = runRepair(q, mod, opts, resp)
-		}
-	case ModeCheck:
-		switch {
-		case q.Static:
-			err = runStaticCheck(q, mod, root, resp)
-		case q.Threads:
-			err = runCheckMT(q, mod, opts, resp)
-		default:
-			err = runCheck(q, mod, root, opts, resp)
-		}
-	case ModeCrash:
-		if q.Threads {
-			err = runCrashMT(q, mod, opts, resp)
-		} else {
-			err = runCrash(q, mod, opts, resp)
-		}
+	switch {
+	case q.Static && q.Mode == ModeRepair:
+		err = runStaticRepair(q, mod, opts, resp)
+	case q.Static:
+		err = runStaticCheck(q, mod, root, resp)
+	default:
+		err = runDynamic(q, mod, opts, resp)
 	}
 	if err != nil {
 		return nil, err
@@ -269,59 +284,95 @@ func runOptimize(q *Request, mod *ir.Module, root *obs.Span, resp *Response) err
 	return nil
 }
 
-func runRepair(q *Request, mod *ir.Module, opts core.Options, resp *Response) error {
+// runDynamic runs the dynamic loop for the request's mode and renders
+// its result. The wire format is decided here, in one place: a Threads
+// request carries the schedules document and per-interleaving crash
+// sweeps, any other request the single crash report and its per-fix
+// rounds.
+func runDynamic(q *Request, mod *ir.Module, opts core.Options, resp *Response) error {
 	var res *core.PipelineResult
 	var err error
-	if q.ReplayTrace != nil {
-		res, err = repairFromTrace(q, mod, opts)
-	} else {
+	switch {
+	case q.Mode != ModeRepair:
+		res, err = core.Verify(mod, q.Entry, opts, q.Args...)
+	case q.ReplayTrace != nil:
+		res, err = core.RepairTrace(mod, q.ReplayTrace, q.Entry, opts, q.Args...)
+	default:
 		res, err = core.RunAndRepair(mod, q.Entry, opts, q.Args...)
 	}
 	if err != nil {
 		return err
 	}
 	resp.Pipeline = res
-	resp.BugsBefore = len(res.Before.Reports)
-	resp.SitesBefore = res.Before.UniqueSites()
-	resp.BugsAfter = len(res.After.Reports)
-	for _, r := range res.Before.Reports {
-		resp.Reports = append(resp.Reports, r.String())
+	switch q.Mode {
+	case ModeCrash:
+		resp.Fixed = res.CrashPassed()
+	case ModeRepair:
+		resp.BugsAfter = len(res.After.Reports)
+		fallthrough
+	default:
+		resp.BugsBefore = len(res.Before.Reports)
+		resp.SitesBefore = res.Before.UniqueSites()
+		for _, r := range res.Before.Reports {
+			resp.Reports = append(resp.Reports, r.String())
+		}
+		resp.Fixed = res.Fixed()
 	}
-	resp.Fixed = res.Fixed()
 	if res.Fix != nil {
 		fillFixResult(resp, res.Fix)
 		resp.RepairedIR = ir.Print(mod)
 	}
-	resp.Crash = res.Crash.Doc()
-	for _, round := range res.CrashRounds {
-		resp.CrashRounds = append(resp.CrashRounds, round.Doc())
+	if !q.Threads {
+		if len(res.Crash) > 0 {
+			resp.Crash = res.Crash[0].Report.Doc()
+		}
+		for _, round := range res.CrashRounds {
+			resp.CrashRounds = append(resp.CrashRounds, round.Doc())
+		}
+		return nil
+	}
+	final, before := res.Final(), res.Exploration
+	if final == nil {
+		// Crash mode with a one-schedule budget validated the round-robin
+		// schedule without exploring; the document still describes it,
+		// under the id its decision log gives it.
+		if final, err = core.ExploreModule(mod, q.Entry, opts, q.Args...); err != nil {
+			return err
+		}
+		before = final
+		res.Crash[0].ID = final.Runs[0].ID
+	}
+	resp.Schedules = scheduleDoc(final, before, res.Crash)
+	for _, c := range res.Crash {
+		resp.CrashBySchedule = append(resp.CrashBySchedule, ScheduleCrashDoc{
+			Schedule: c.ID, Report: c.Report.Doc(),
+		})
 	}
 	return nil
 }
 
-// repairFromTrace is the -trace replay variant of the repair pipeline:
-// detect against the pre-recorded trace, repair, re-trace to revalidate.
-func repairFromTrace(q *Request, mod *ir.Module, opts core.Options) (*core.PipelineResult, error) {
-	root := opts.Obs
-	check := pmcheck.CheckObs(root, q.ReplayTrace)
-	res := &core.PipelineResult{Trace: q.ReplayTrace, Before: check}
-	if check.Clean() {
-		res.After = check
-		return res, nil
+// scheduleDoc renders an exploration summary; buggy is the pre-repair
+// search whose first rejected interleaving names the showcase schedule.
+func scheduleDoc(final, buggy *schedule.Result, crash []core.ScheduleCrash) *ScheduleDoc {
+	d := &ScheduleDoc{
+		Truncated: final.Truncated,
+		Stats: ScheduleStatsDoc{
+			SchedulesExplored: final.Explored,
+			SchedulesPruned:   final.Pruned,
+		},
 	}
-	fixRes, err := core.Repair(mod, q.ReplayTrace, check, opts)
-	if err != nil {
-		return nil, err
+	for _, c := range crash {
+		d.Stats.CrashPoints += c.Report.Points
 	}
-	res.Fix = fixRes
-	rsp := root.Start("revalidate")
-	defer rsp.End()
-	tr2, err := core.TraceModuleOpts(rsp, mod, q.Entry, opts, q.Args...)
-	if err != nil {
-		return nil, err
+	for _, r := range final.Runs {
+		if r.Threads > d.Threads {
+			d.Threads = r.Threads
+		}
 	}
-	res.After = pmcheck.CheckObs(rsp, tr2)
-	return res, nil
+	if bad := buggy.FirstBuggy(); bad != nil {
+		d.BuggySchedule = bad.ID
+	}
+	return d
 }
 
 func runStaticRepair(q *Request, mod *ir.Module, opts core.Options, resp *Response) error {
@@ -345,23 +396,6 @@ func runStaticRepair(q *Request, mod *ir.Module, opts core.Options, resp *Respon
 	return nil
 }
 
-func runCheck(q *Request, mod *ir.Module, root *obs.Span, opts core.Options, resp *Response) error {
-	tr, err := core.TraceModuleOpts(root, mod, q.Entry, opts, q.Args...)
-	if err != nil {
-		return err
-	}
-	res := pmcheck.CheckObs(root, tr)
-	resp.Trace = tr
-	resp.Check = res
-	resp.BugsBefore = len(res.Reports)
-	resp.SitesBefore = res.UniqueSites()
-	for _, r := range res.Reports {
-		resp.Reports = append(resp.Reports, r.String())
-	}
-	resp.Fixed = res.Clean()
-	return nil
-}
-
 func runStaticCheck(q *Request, mod *ir.Module, root *obs.Span, resp *Response) error {
 	res, err := static.AnalyzeObsStore(mod, q.Entry, q.SummaryStore, root)
 	if err != nil {
@@ -375,20 +409,6 @@ func runStaticCheck(q *Request, mod *ir.Module, root *obs.Span, resp *Response) 
 		resp.Reports = append(resp.Reports, r.String())
 	}
 	resp.Fixed = res.Clean()
-	return nil
-}
-
-func runCrash(q *Request, mod *ir.Module, opts core.Options, resp *Response) error {
-	copts := *opts.CrashCheck
-	copts.Obs = opts.Obs
-	copts.Deadline = opts.Deadline
-	rep, err := crashsim.Validate(mod, copts)
-	if err != nil {
-		return err
-	}
-	resp.CrashReport = rep
-	resp.Crash = rep.Doc()
-	resp.Fixed = rep.Passed()
 	return nil
 }
 

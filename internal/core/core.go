@@ -80,9 +80,10 @@ type Options struct {
 	// enumerated post-crash image (see internal/crashsim). Entry, args,
 	// limits, and the obs span default to the pipeline's own.
 	CrashCheck *crashsim.Options
-	// MaxSchedules bounds the interleaving search of the concurrent
-	// pipeline (RunAndRepairMT); 0 keeps schedule.DefaultMaxSchedules.
-	// Ignored by the single-threaded pipeline.
+	// MaxSchedules bounds the interleaving search of the dynamic loop
+	// (0 keeps schedule.DefaultMaxSchedules). A budget of one is the
+	// paper's single-trace pipeline: the round-robin run alone, traced
+	// and checked under trace/detect spans.
 	MaxSchedules int
 	// SummaryStore, when non-nil, backs every static analysis the
 	// pipeline runs with cached function summaries and alias

@@ -68,9 +68,9 @@ func TestRunAndRepairMTHealsUnorderedPublish(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	res, err := RunAndRepairMT(mod, "main", Options{CrashCheck: &crashsim.Options{}})
+	res, err := RunAndRepair(mod, "main", Options{CrashCheck: &crashsim.Options{}})
 	if err != nil {
-		t.Fatalf("RunAndRepairMT: %v", err)
+		t.Fatalf("RunAndRepair: %v", err)
 	}
 	if res.Before.Clean() {
 		t.Fatal("exploration found no bug in the buggy module")

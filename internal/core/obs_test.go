@@ -34,7 +34,7 @@ func TestParallelRunAndRepairSpanIsolation(t *testing.T) {
 			m := buildListing1()
 			root := rec.StartSpan(fmt.Sprintf("pipeline-%d", i))
 			roots[i] = root
-			res, err := RunAndRepair(m, "main", Options{Obs: root})
+			res, err := RunAndRepair(m, "main", Options{Obs: root, MaxSchedules: 1})
 			if err != nil {
 				t.Errorf("worker %d: %v", i, err)
 				return
@@ -99,7 +99,8 @@ int main() {
 			root := rec.StartSpan(fmt.Sprintf("pipeline-%d", i))
 			roots[i] = root
 			res, err := RunAndRepair(m, "main", Options{
-				Obs: root,
+				Obs:          root,
+				MaxSchedules: 1,
 				CrashCheck: &crashsim.Options{
 					MaxPoints: 12,
 					MaxImages: 3,
@@ -112,7 +113,7 @@ int main() {
 			if !res.Fixed() {
 				t.Errorf("worker %d: repair incomplete", i)
 			}
-			if res.Crash == nil || !res.Crash.Passed() {
+			if len(res.Crash) != 1 || !res.CrashPassed() {
 				t.Errorf("worker %d: crash validation failed", i)
 			}
 			root.End()

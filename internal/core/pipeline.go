@@ -8,59 +8,122 @@ import (
 	"hippocrates/internal/ir"
 	"hippocrates/internal/obs"
 	"hippocrates/internal/pmcheck"
+	"hippocrates/internal/schedule"
 	"hippocrates/internal/trace"
 )
 
-// PipelineResult is the outcome of the full trace→detect→fix→re-check
-// workflow (Fig. 2 of the paper, Steps 1–4 plus validation).
+// ScheduleCrash pairs one explored interleaving with its crash-validation
+// report.
+type ScheduleCrash struct {
+	// ID is the interleaving's replayable schedule id ("rr" for the
+	// round-robin schedule, the only one a spawn-free program has).
+	ID string
+	// Report is the crash sweep of the workload run under that
+	// interleaving.
+	Report *crashsim.Report
+}
+
+// PipelineResult is the outcome of the dynamic trace→detect→fix→re-check
+// loop (Fig. 2 of the paper, Steps 1–4 plus validation) over the set of
+// executions the interleaving search explores. A one-schedule budget is
+// the paper's single trace; so is any spawn-free program, which has no
+// other interleaving to explore.
 type PipelineResult struct {
-	// Trace is the bug-finder trace of the original module.
-	Trace *trace.Trace
-	// Before / After are the detector results pre- and post-repair.
+	// Exploration is the search over the module as given; ReExploration
+	// the search over the repaired module (nil when no repair ran).
+	// Exploration is nil only after Verify with crash validation and a
+	// one-schedule budget, which validates the round-robin schedule
+	// without a detector run.
+	Exploration   *schedule.Result
+	ReExploration *schedule.Result
+	// Before / After are the detector verdicts pre- and post-repair. A
+	// single schedule's verdict is its own detector result; across
+	// several, the counters describe the default-schedule run while
+	// Reports is the class-deduplicated union across every explored
+	// interleaving — a bug visible under any schedule is repaired, not
+	// just one the default order happens to expose.
 	Before *pmcheck.Result
 	After  *pmcheck.Result
-	// Fix describes the applied fixes (nil when Before was already clean).
+	// Fix describes the applied fixes (nil when Before was already clean
+	// or no repair stage ran).
 	Fix *Result
-	// Crash is the crash-schedule validation report, when
-	// Options.CrashCheck requested the stage (nil otherwise).
-	Crash *crashsim.Report
+	// Crash holds one crash-validation report per schedule of the final
+	// exploration, in exploration order, when Options.CrashCheck
+	// requested the stage (empty otherwise). All sweeps share one
+	// verdict cache: images that different interleavings produce
+	// identically are judged once.
+	Crash []ScheduleCrash
 	// CrashRounds holds the intermediate crash-validation reports of the
-	// incremental path: with CrashCheck set and more than one fix to
-	// apply, round i re-validates the module right after fix i+1 landed,
-	// reusing the shared verdict cache (so each round mostly re-judges
-	// only the images the new fix changed). Intermediate rounds commonly
-	// fail — later fixes have not been applied yet — which is why Fixed
-	// consults only the final report in Crash.
+	// incremental path: with CrashCheck set, a single explored schedule,
+	// and more than one fix to apply, round i re-validates the module
+	// right after fix i+1 landed, reusing the shared verdict cache (so
+	// each round mostly re-judges only the images the new fix changed).
+	// Intermediate rounds commonly fail — later fixes have not been
+	// applied yet — which is why Fixed consults only the final reports
+	// in Crash.
 	CrashRounds []*crashsim.Report
 }
 
-// Fixed reports whether the module is clean after repair: no detector
-// reports remain, and — when crash validation ran — every enumerated
-// crash schedule recovered cleanly.
+// Fixed reports whether the module is clean after the loop: no detector
+// reports remain under any explored schedule, and — when crash
+// validation ran — every crash schedule of every explored interleaving
+// recovered cleanly.
 func (p *PipelineResult) Fixed() bool {
-	return p.After.Clean() && (p.Crash == nil || p.Crash.Passed())
+	return (p.After == nil || p.After.Clean()) && p.CrashPassed()
+}
+
+// CrashPassed reports whether every crash sweep in Crash passed (true
+// when none ran).
+func (p *PipelineResult) CrashPassed() bool {
+	for _, c := range p.Crash {
+		if !c.Report.Passed() {
+			return false
+		}
+	}
+	return true
+}
+
+// Final returns the exploration describing the module as it stands: the
+// re-exploration when a repair ran, the original otherwise.
+func (p *PipelineResult) Final() *schedule.Result {
+	if p.ReExploration != nil {
+		return p.ReExploration
+	}
+	return p.Exploration
+}
+
+// Trace returns the detector trace of the module as given under its
+// first explored (the round-robin) schedule, or nil when no exploration
+// ran.
+func (p *PipelineResult) Trace() *trace.Trace {
+	if p.Exploration == nil {
+		return nil
+	}
+	return p.Exploration.Runs[0].Trace
 }
 
 // TraceModule executes mod's entry function on the simulator and returns
 // the recorded PM trace. As the paper does for trace generation (§5.1),
 // the module is used as-is, unoptimized.
 func TraceModule(mod *ir.Module, entry string, args ...uint64) (*trace.Trace, error) {
-	return TraceModuleObs(nil, mod, entry, args...)
+	return TraceModuleOpts(nil, mod, entry, Options{}, args...)
 }
 
-// TraceModuleObs is TraceModule under a "trace" child span of sp: the
-// interpreter's run statistics (steps, per-opcode counts) and the trace's
-// PM-event breakdown are published into the span's recorder. A nil span
-// records nothing.
-func TraceModuleObs(sp *obs.Span, mod *ir.Module, entry string, args ...uint64) (*trace.Trace, error) {
-	return TraceModuleOpts(sp, mod, entry, Options{}, args...)
-}
-
-// TraceModuleOpts is TraceModuleObs with the pipeline's resource
-// limits applied to the interpreter run. Interpreter panics are
-// recovered into a *PanicError.
+// TraceModuleOpts is TraceModule under a "trace" child span of sp, with
+// the pipeline's resource limits applied to the interpreter run: the
+// interpreter's run statistics (steps, per-opcode counts) and the
+// trace's PM-event breakdown are published into the span's recorder (a
+// nil span records nothing). Interpreter panics are recovered into a
+// *PanicError.
 func TraceModuleOpts(sp *obs.Span, mod *ir.Module, entry string, opts Options, args ...uint64) (out *trace.Trace, err error) {
 	defer guard("trace", &err)
+	_, tr, err := traceRun(sp, mod, entry, opts, args)
+	return tr, err
+}
+
+// traceRun is TraceModuleOpts without the panic guard, also returning
+// the machine so a caller can read its decision log.
+func traceRun(sp *obs.Span, mod *ir.Module, entry string, opts Options, args []uint64) (*interp.Machine, *trace.Trace, error) {
 	tsp := sp.Start("trace")
 	defer tsp.End()
 	tsp.SetAttr("entry", entry)
@@ -69,7 +132,7 @@ func TraceModuleOpts(sp *obs.Span, mod *ir.Module, entry string, opts Options, a
 		Trace: tr, StepLimit: opts.StepLimit, Deadline: opts.Deadline,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	_, err = mach.Run(entry, args...)
 	mach.RecordObs(tsp)
@@ -80,55 +143,174 @@ func TraceModuleOpts(sp *obs.Span, mod *ir.Module, entry string, opts Options, a
 		}
 	}
 	if err != nil {
-		return nil, fmt.Errorf("tracing @%s: %w", entry, err)
+		return nil, nil, fmt.Errorf("tracing @%s: %w", entry, err)
 	}
-	return tr, nil
+	return mach, tr, nil
 }
 
 // RunAndRepair runs the whole Hippocrates workflow on mod, mutating it in
-// place: trace the entry point, detect durability bugs, compute and apply
-// fixes, then re-trace and re-check to validate that the bugs are gone
-// (the validation step of §6.1). With Options.CrashCheck set, a fourth
-// stage crash-injects the repaired module at every sampled PM event
-// boundary and runs its recovery entries on each feasible post-crash
-// image (the report lands in PipelineResult.Crash; schedule failures are
-// data, not an error). When opts.Obs is set, the phases record spans
-// under it: trace, detect, plan, apply, a revalidate span whose children
-// are the second trace and detect, and crashsim. Panics from any phase
-// are recovered into a *PanicError: the pipeline returns errors, it
-// never takes the process down.
-func RunAndRepair(mod *ir.Module, entry string, opts Options, args ...uint64) (out *PipelineResult, err error) {
+// place. It explores the entry point's thread interleavings (up to
+// Options.MaxSchedules; a budget of one is the single round-robin trace),
+// detects durability bugs under every explored schedule, computes and
+// applies fixes for the union of the reports, then re-explores and
+// re-checks to validate that the bugs are gone (the validation step of
+// §6.1). With Options.CrashCheck set, a fourth stage crash-injects the
+// repaired module under every explored schedule at sampled PM event
+// boundaries and runs its recovery entries on each feasible post-crash
+// image (the reports land in PipelineResult.Crash; schedule failures
+// are data, not an error). A runtime fault under any interleaving
+// (deadlock, assertion, double join) is not a durability bug flush
+// insertion can heal, so it surfaces as an error, before or after
+// repair.
+//
+// When opts.Obs is set, the phases record spans under it. A one-schedule
+// exploration records trace and detect; a wider one records one explore
+// span. Then come plan, apply, a revalidate span around the
+// re-exploration, and crashsim. Panics from any phase are recovered
+// into a *PanicError: the pipeline returns errors, it never takes the
+// process down.
+func RunAndRepair(mod *ir.Module, entry string, opts Options, args ...uint64) (*PipelineResult, error) {
+	return runLoop(mod, entry, opts, args, nil, true)
+}
+
+// RepairTrace is RunAndRepair with a pre-recorded trace of the module as
+// given standing in for its exploration: the trace is the one explored
+// schedule, detection runs against it, and revalidation re-explores the
+// repaired module as usual.
+func RepairTrace(mod *ir.Module, tr *trace.Trace, entry string, opts Options, args ...uint64) (*PipelineResult, error) {
+	return runLoop(mod, entry, opts, args, tr, true)
+}
+
+// Verify is the loop without its repair stage: explore the module as
+// given, fold the per-schedule verdicts, and — with Options.CrashCheck
+// set — crash-validate every explored schedule. The module is not
+// mutated. Crash validation under a one-schedule budget validates the
+// round-robin schedule directly: no exploration run, no detector
+// verdict (Exploration, Before and After stay nil).
+func Verify(mod *ir.Module, entry string, opts Options, args ...uint64) (*PipelineResult, error) {
+	return runLoop(mod, entry, opts, args, nil, false)
+}
+
+// runLoop is the one dynamic loop behind RunAndRepair, RepairTrace and
+// Verify: explore (or take the replay trace as the one schedule), fold
+// the verdicts, repair and re-explore when repair is set, and
+// crash-validate every final schedule through one crashOpts.
+func runLoop(mod *ir.Module, entry string, opts Options, args []uint64, replay *trace.Trace, repair bool) (out *PipelineResult, err error) {
 	defer guard("pipeline", &err)
 	sp := opts.Obs
 	copts := crashOpts(opts, entry, args)
-	tr, err := TraceModuleOpts(sp, mod, entry, opts, args...)
-	if err != nil {
-		return nil, err
+	out = &PipelineResult{}
+	var ex *schedule.Result
+	switch {
+	case replay != nil:
+		ex = schedule.Single(&schedule.Run{
+			ID: interp.ScheduleID(nil), Trace: replay, Check: pmcheck.CheckObs(sp, replay), Threads: 1,
+		})
+	case copts != nil && !repair && opts.MaxSchedules == 1:
+		// Crash-only validation of the round-robin schedule needs no
+		// detector run: crashsim runs the workload itself.
+	default:
+		if ex, err = explore(sp, mod, entry, opts, args); err != nil {
+			return nil, err
+		}
 	}
-	res := pmcheck.CheckObs(sp, tr)
-	out = &PipelineResult{Trace: tr, Before: res}
-	if res.Clean() {
-		out.After = res
-		return crashValidate(mod, copts, out)
+	if ex != nil {
+		out.Exploration = ex
+		out.Before = unionCheck(ex)
+		out.After = out.Before
 	}
-	if copts != nil {
-		err = repairIncremental(mod, tr, res, opts, copts, out)
-	} else {
-		out.Fix, err = Repair(mod, tr, res, opts)
-	}
-	if err != nil {
-		return nil, err
-	}
-	rsp := sp.Start("revalidate")
-	tr2, err := TraceModuleOpts(rsp, mod, entry, opts, args...)
-	if err != nil {
+	if repair && !out.Before.Clean() {
+		// The default-schedule trace resolves report sites; those are
+		// instruction ids, the same under every schedule.
+		tr := ex.Runs[0].Trace
+		if copts != nil && len(ex.Runs) == 1 {
+			err = repairIncremental(mod, tr, out.Before, opts, copts, out)
+		} else {
+			out.Fix, err = Repair(mod, tr, out.Before, opts)
+		}
+		if err != nil {
+			return nil, err
+		}
+		rsp := sp.Start("revalidate")
+		out.ReExploration, err = explore(rsp, mod, entry, opts, args)
+		if err != nil {
+			rsp.End()
+			return nil, fmt.Errorf("revalidating repaired module: %w", err)
+		}
+		out.After = unionCheck(out.ReExploration)
+		rsp.Add("revalidate.remaining_reports", int64(len(out.After.Reports)))
 		rsp.End()
-		return nil, fmt.Errorf("re-tracing repaired module: %w", err)
 	}
-	out.After = pmcheck.CheckObs(rsp, tr2)
-	rsp.Add("revalidate.remaining_reports", int64(len(out.After.Reports)))
-	rsp.End()
-	return crashValidate(mod, copts, out)
+	if err := crashValidate(mod, copts, opts, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ExploreModule is the loop's exploration stage alone: the bounded
+// interleaving search plus the per-schedule detector, with the
+// pipeline's limits and telemetry applied. A runtime fault under any
+// interleaving is an error, as in RunAndRepair.
+func ExploreModule(mod *ir.Module, entry string, opts Options, args ...uint64) (*schedule.Result, error) {
+	return explore(opts.Obs, mod, entry, opts, args)
+}
+
+// explore runs one exploration under sp. A one-schedule budget is the
+// round-robin run alone, traced and checked under trace and detect
+// spans; a wider budget runs schedule.Explore under an explore span.
+func explore(sp *obs.Span, mod *ir.Module, entry string, opts Options, args []uint64) (*schedule.Result, error) {
+	if opts.MaxSchedules == 1 {
+		mach, tr, err := traceRun(sp, mod, entry, opts, args)
+		if err != nil {
+			return nil, err
+		}
+		run := schedule.RunOf(mach, tr)
+		run.Check = pmcheck.CheckObs(sp, tr)
+		return schedule.Single(run), nil
+	}
+	esp := sp.Start("explore")
+	defer esp.End()
+	esp.SetAttr("entry", entry)
+	ex, err := schedule.Explore(mod, entry, args, schedule.Options{
+		MaxSchedules: opts.MaxSchedules,
+		Interp:       interp.Options{StepLimit: opts.StepLimit, Deadline: opts.Deadline},
+		Obs:          esp,
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range ex.Runs {
+		if r.Err != nil {
+			return nil, fmt.Errorf("schedule %s: @%s faulted: %w", r.ID, entry, r.Err)
+		}
+	}
+	return ex, nil
+}
+
+// unionCheck folds the per-schedule detector results into one. A single
+// schedule's verdict is its own result. Across several: counters from
+// the default-schedule run, reports class-deduplicated across every
+// explored interleaving, thread/publish tallies maximized.
+func unionCheck(ex *schedule.Result) *pmcheck.Result {
+	if len(ex.Runs) == 1 {
+		return ex.Runs[0].Check
+	}
+	u := *ex.Runs[0].Check
+	var all []*pmcheck.Report
+	threads, publishes := 0, 0
+	for _, r := range ex.Runs {
+		all = append(all, r.Check.Reports...)
+		if r.Check.Threads > threads {
+			threads = r.Check.Threads
+		}
+		if r.Check.CrossThreadPublishes > publishes {
+			publishes = r.Check.CrossThreadPublishes
+		}
+	}
+	u.Reports = pmcheck.DedupeByClass(all)
+	u.Threads = threads
+	u.CrossThreadPublishes = publishes
+	return &u
 }
 
 // crashOpts resolves Options.CrashCheck against the pipeline's own
@@ -277,16 +459,33 @@ func planTouchesRecovery(p *plan, reach map[string]bool) bool {
 	return false
 }
 
-// crashValidate runs the optional crash-schedule validation stage on the
-// (possibly just repaired) module and attaches the report.
-func crashValidate(mod *ir.Module, copts *crashsim.Options, out *PipelineResult) (*PipelineResult, error) {
+// crashValidate runs the optional crash-validation stage on the
+// (possibly just repaired) module under every schedule of the final
+// exploration — the round-robin schedule when none ran — sharing
+// copts' verdict cache so images common to several interleavings are
+// judged once. Like the explore span's schedule counters, the swept
+// total is recorded only for a budget wider than one schedule.
+func crashValidate(mod *ir.Module, copts *crashsim.Options, opts Options, out *PipelineResult) error {
 	if copts == nil {
-		return out, nil
+		return nil
 	}
-	rep, err := crashsim.Validate(mod, *copts)
-	if err != nil {
-		return nil, fmt.Errorf("crash validation: %w", err)
+	runs := []*schedule.Run{{ID: interp.ScheduleID(nil)}}
+	if final := out.Final(); final != nil {
+		runs = final.Runs
 	}
-	out.Crash = rep
-	return out, nil
+	points := 0
+	for _, run := range runs {
+		round := *copts
+		round.Schedule = run.Choices
+		rep, err := crashsim.Validate(mod, round)
+		if err != nil {
+			return fmt.Errorf("crash validation under schedule %s: %w", run.ID, err)
+		}
+		out.Crash = append(out.Crash, ScheduleCrash{ID: run.ID, Report: rep})
+		points += rep.Points
+	}
+	if opts.MaxSchedules != 1 {
+		opts.Obs.Add("schedule.crash_points", int64(points))
+	}
+	return nil
 }

@@ -15,7 +15,7 @@ type MTProgram struct {
 // MTPrograms returns the concurrent corpus targets. They are deliberately
 // not part of All(): the single-threaded pipeline, sweeps and paper
 // accounting all iterate All(), and these require the threads pipeline
-// (core.RunAndRepairMT / schedule.Explore).
+// (core.RunAndRepair / schedule.Explore).
 func MTPrograms() []*MTProgram {
 	return []*MTProgram{
 		{

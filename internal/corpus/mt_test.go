@@ -84,7 +84,7 @@ func TestMTSmoke(t *testing.T) {
 			// whole crash sweep.
 			fresh := p.MustCompile()
 			opts.CrashCheck = &crashsim.Options{MaxPoints: 12, MaxImages: 4, Workers: 1}
-			res, err := core.RunAndRepairMT(fresh, p.Entry, opts)
+			res, err := core.RunAndRepair(fresh, p.Entry, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,7 +99,7 @@ func TestMTSmoke(t *testing.T) {
 				}
 				t.Fatalf("repair did not fix %s: %d reports remain", p.Name, len(res.After.Reports))
 			}
-			if got, want := len(res.Crash), res.FinalExploration().Explored; got != want {
+			if got, want := len(res.Crash), res.Final().Explored; got != want {
 				t.Fatalf("crash sweeps = %d, want one per explored schedule (%d)", got, want)
 			}
 		})

@@ -192,22 +192,9 @@ func Explore(mod *ir.Module, entry string, args []uint64, opts Options) (*Result
 		res.Explored++
 		// Branch only at or beyond this run's own prefix: earlier points
 		// were branched by the ancestor that discovered them.
-		for i := len(prefix); i < len(run.Decisions); i++ {
-			d := run.Decisions[i]
-			for alt := range d.Runnable {
-				if alt == d.Chosen {
-					continue
-				}
-				if !opts.NoPOR && commutes(d.Runnable[alt], d.Runnable[d.Chosen]) {
-					res.Pruned++
-					continue
-				}
-				np := make([]int, i+1)
-				copy(np, run.Choices[:i])
-				np[i] = alt
-				frontier = append(frontier, np)
-			}
-		}
+		alts, pruned := branches(run, len(prefix), opts.NoPOR)
+		frontier = append(frontier, alts...)
+		res.Pruned += pruned
 	}
 	res.Truncated = len(frontier) > 0
 	if sp := opts.Obs; sp != nil {
@@ -218,6 +205,39 @@ func Explore(mod *ir.Module, entry string, args []uint64, opts Options) (*Result
 		}
 	}
 	return res, nil
+}
+
+// Single is the exploration a budget of one schedule yields, for a run
+// the caller executed itself (under its own telemetry): run alone, with
+// the alternatives its decision log offers counted as pruned or left on
+// the truncated frontier exactly as Explore with MaxSchedules 1 counts
+// them. A spawn-free run has no decisions: it is the whole search.
+func Single(run *Run) *Result {
+	alts, pruned := branches(run, 0, false)
+	return &Result{Runs: []*Run{run}, Explored: 1, Pruned: pruned, Truncated: len(alts) > 0}
+}
+
+// branches returns the choice prefixes of the alternatives run offers at
+// decision points from index from on, and how many of them
+// partial-order reduction pruned (none with noPOR).
+func branches(run *Run, from int, noPOR bool) (alts [][]int, pruned int) {
+	for i := from; i < len(run.Decisions); i++ {
+		d := run.Decisions[i]
+		for alt := range d.Runnable {
+			if alt == d.Chosen {
+				continue
+			}
+			if !noPOR && commutes(d.Runnable[alt], d.Runnable[d.Chosen]) {
+				pruned++
+				continue
+			}
+			np := make([]int, i+1)
+			copy(np, run.Choices[:i])
+			np[i] = alt
+			alts = append(alts, np)
+		}
+	}
+	return alts, pruned
 }
 
 // runOne executes a single interleaving from a choice prefix.
@@ -231,18 +251,7 @@ func runOne(mod *ir.Module, entry string, args []uint64, prefix []int, tmpl *int
 		return nil, err
 	}
 	ret, rerr := m.Run(entry, args...)
-	ds := m.Decisions()
-	choices := make([]int, len(ds))
-	for i, d := range ds {
-		choices[i] = d.Chosen
-	}
-	r := &Run{
-		Choices:   choices,
-		ID:        interp.ScheduleID(choices),
-		Decisions: ds,
-		Trace:     tr,
-		Threads:   m.ThreadCount(),
-	}
+	r := RunOf(m, tr)
 	if rerr != nil {
 		r.Err = rerr
 	} else {
@@ -250,6 +259,24 @@ func runOne(mod *ir.Module, entry string, args []uint64, prefix []int, tmpl *int
 		r.Check = pmcheck.Check(tr)
 	}
 	return r, nil
+}
+
+// RunOf records a machine that has run, with tr as its trace, as an
+// explored Run: decision log, replayable id, and thread count. Ret,
+// Err, and Check are the caller's to fill.
+func RunOf(m *interp.Machine, tr *trace.Trace) *Run {
+	ds := m.Decisions()
+	choices := make([]int, len(ds))
+	for i, d := range ds {
+		choices[i] = d.Chosen
+	}
+	return &Run{
+		Choices:   choices,
+		ID:        interp.ScheduleID(choices),
+		Decisions: ds,
+		Trace:     tr,
+		Threads:   m.ThreadCount(),
+	}
 }
 
 // commutes reports whether two pending operations provably reach the
